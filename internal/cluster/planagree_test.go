@@ -2,19 +2,25 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
 	"simdb/internal/adm"
 	"simdb/internal/datagen"
 	"simdb/internal/optimizer"
+	"simdb/internal/sim"
+	"simdb/internal/tokenizer"
 )
 
-// loadSynthetic populates a dataset from the datagen generators.
-func loadSynthetic(t *testing.T, c *Cluster, sess *Session, name string, kind datagen.Kind, n int) {
+// loadSynthetic populates a dataset from the datagen generators and
+// returns the records it inserted.
+func loadSynthetic(t *testing.T, c *Cluster, sess *Session, name string, kind datagen.Kind, n int) []adm.Value {
 	t.Helper()
 	exec(t, c, sess, fmt.Sprintf(`create dataset %s primary key id;`, name))
+	var recs []adm.Value
 	err := datagen.Generate(kind, n, datagen.Options{Seed: 33}, func(v adm.Value) error {
+		recs = append(recs, v)
 		return c.Insert("Default", name, v)
 	})
 	if err != nil {
@@ -23,6 +29,7 @@ func loadSynthetic(t *testing.T, c *Cluster, sess *Session, name string, kind da
 	if err := c.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
+	return recs
 }
 
 // TestJoinPlansAgreeOnSyntheticData is the paper's core correctness
@@ -141,40 +148,65 @@ func TestSelectionPlansAgreeOnSyntheticData(t *testing.T) {
 	}
 }
 
-// TestSpecializedPlansAgreeOnSyntheticData forces the specialization
-// pass (constant folding, assign/select fusion, compiled evaluators) on
-// the selection and join workloads and checks the answers are identical
-// to the default interpreted plans — the cluster-level counterpart of
-// the algebra package's compiled-vs-interpreted property tests.
+// TestSpecializedPlansAgreeOnSyntheticData runs the selection and join
+// workloads through the specialized plans every compile produces
+// (constant folding, assign/select fusion, compiled evaluators) and
+// checks the answers against a naive loop over the generated records
+// built from the tokenizer and sim packages alone.
 func TestSpecializedPlansAgreeOnSyntheticData(t *testing.T) {
 	c := newTestCluster(t, 2, 2)
 	sess := NewSession()
-	loadSynthetic(t, c, sess, "ARevs", datagen.Amazon, 400)
+	recs := loadSynthetic(t, c, sess, "ARevs", datagen.Amazon, 400)
 	exec(t, c, sess, `create index spx on ARevs(summary) type keyword;`)
 
-	spec := sessionOpts(func(o *optimizer.Options) { o.Specialize = true })
-	selections := []string{
-		`for $r in dataset ARevs
-		 where similarity-jaccard(word-tokens($r.summary), word-tokens('the great product of love')) >= 0.5
-		 return $r.id`,
-		`for $r in dataset ARevs
-		 where edit-distance($r.reviewerName, 'Mogo Bani') <= 2
-		 return $r.id`,
+	field := func(v adm.Value, name string) string {
+		f, _ := v.Rec().Get(name)
+		return f.Str()
+	}
+	id := func(v adm.Value) int64 {
+		f, _ := v.Rec().Get("id")
+		return f.Int()
+	}
+	// Constants come from the data so every selection has matches.
+	summary, name := field(recs[0], "summary"), field(recs[1], "reviewerName")
+	queryTokens := tokenizer.WordTokens(summary)
+	selections := []struct {
+		query string
+		match func(adm.Value) bool
+	}{
+		{fmt.Sprintf(`for $r in dataset ARevs
+		  where similarity-jaccard(word-tokens($r.summary), word-tokens('%s')) >= 0.5
+		  return $r.id`, summary),
+			func(v adm.Value) bool {
+				return sim.Jaccard(tokenizer.WordTokens(field(v, "summary")), queryTokens) >= 0.5
+			}},
+		{fmt.Sprintf(`for $r in dataset ARevs
+		  where edit-distance($r.reviewerName, '%s') <= 2
+		  return $r.id`, name),
+			func(v adm.Value) bool { return sim.EditDistance(field(v, "reviewerName"), name) <= 2 }},
 	}
 	sawCompiled := false
-	for i, q := range selections {
-		ref := exec(t, c, sessionOpts(nil), q)
-		got := exec(t, c, spec, q)
-		if fmt.Sprint(rowInts(t, got.Rows)) != fmt.Sprint(rowInts(t, ref.Rows)) {
-			t.Errorf("selection %d: specialized %v != interpreted %v",
-				i, rowInts(t, got.Rows), rowInts(t, ref.Rows))
+	for i, s := range selections {
+		var want []int64
+		for _, v := range recs {
+			if s.match(v) {
+				want = append(want, id(v))
+			}
+		}
+		sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
+		if len(want) == 0 {
+			t.Fatalf("selection %d has no reference matches; test is vacuous", i)
+		}
+		got := exec(t, c, sessionOpts(nil), s.query)
+		if fmt.Sprint(rowInts(t, got.Rows)) != fmt.Sprint(want) {
+			t.Errorf("selection %d: engine %v != reference %v", i, rowInts(t, got.Rows), want)
 		}
 		if strings.Contains(got.Stats.LogicalPlan, "[compiled]") {
 			sawCompiled = true
 		}
 	}
 	if !sawCompiled {
-		t.Error("no specialized selection plan carried a [compiled] operator")
+		t.Error("no selection plan carried a [compiled] operator")
 	}
 
 	join := `
@@ -185,12 +217,21 @@ func TestSpecializedPlansAgreeOnSyntheticData(t *testing.T) {
 		where word-tokens($a.summary) ~= word-tokens($b.summary) and $a.id < $b.id
 		return { 'l': $a.id, 'r': $b.id }
 	`
-	ref := exec(t, c, sessionOpts(nil), join)
-	got := exec(t, c, spec, join)
-	if pairKey(ref) != pairKey(got) {
-		t.Errorf("specialized join differs: %d rows vs %d", len(got.Rows), len(ref.Rows))
+	var want []string
+	for _, a := range recs {
+		at := tokenizer.WordTokens(field(a, "summary"))
+		for _, b := range recs {
+			if id(a) < id(b) && sim.Jaccard(at, tokenizer.WordTokens(field(b, "summary"))) >= 0.8 {
+				want = append(want, fmt.Sprintf("%d-%d", id(a), id(b)))
+			}
+		}
 	}
-	if len(ref.Rows) == 0 {
+	sortStrings(want)
+	got := exec(t, c, sessionOpts(nil), join)
+	if pairKey(got) != fmt.Sprint(want) {
+		t.Errorf("join differs from reference: %d rows vs %d", len(got.Rows), len(want))
+	}
+	if len(want) == 0 {
 		t.Error("join produced no similar pairs; test is vacuous")
 	}
 }

@@ -4,10 +4,9 @@ import (
 	"simdb/internal/algebra"
 )
 
-// specializeRule is the plan-specialization pass behind the compile-
-// once, run-many promotion path. It runs only when Opts.Specialize is
-// set — the plan cache recompiles a hot plan with the option on, so
-// cold queries never pay for it — and performs three rewrites:
+// specializeRule is the plan-specialization pass. It runs on every
+// compile — it costs microseconds against milliseconds of execution,
+// and the plan cache amortizes even that — and performs three rewrites:
 //
 //  1. Constant folding over every operator expression: a variable-free
 //     subtree (the constant side of a similarity predicate, its
@@ -27,9 +26,6 @@ import (
 //     generation resolves algebra.Compile evaluators for them and
 //     EXPLAIN renders the [compiled] annotation.
 func specializeRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error) {
-	if !o.Opts.Specialize {
-		return root, false, nil
-	}
 	changed := false
 
 	// 1. Fold variable-free subtrees in every expression position.
