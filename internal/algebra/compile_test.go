@@ -85,6 +85,25 @@ func TestCompileMatchesEvalFixed(t *testing.T) {
 		F("record", CStr("k"), V(1)),
 		F("record", V(1), V(2)), // field name not a string on most rows
 	}
+	// Jaccard selections with a constant query side: both comparison
+	// orders, strict and inclusive, and candidates that are token lists,
+	// plain strings, lists or null.
+	q := F("word-tokens", CStr("quick brown fox"))
+	jac := func(cand Expr) Expr { return F("similarity-jaccard", cand, q) }
+	half := C(adm.NewDouble(0.5))
+	exprs = append(exprs,
+		F("ge", jac(F("word-tokens", V(2))), half),
+		F("gt", jac(F("word-tokens", V(2))), half),
+		F("le", half, jac(F("word-tokens", V(2)))),
+		F("lt", half, jac(F("word-tokens", V(2)))),
+		F("ge", jac(V(2)), half), // plain string, list, or out of row
+		F("ge", jac(V(3)), half), // null on row 1
+		F("ge", jac(V(1)), half), // null on row 2, non-list elsewhere
+		F("ge", jac(F("list", CStr("quick"), CStr("fox"))), half),
+		F("ge", jac(F("word-tokens", V(2))), C(adm.NewDouble(0))),
+		F("ge", jac(F("word-tokens", V(2))), CInt(1)),
+		F("gt", jac(F("word-tokens", V(2))), CInt(0)),
+	)
 	for _, e := range exprs {
 		assertSame(t, e)
 	}

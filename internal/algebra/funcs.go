@@ -555,12 +555,6 @@ func fnEditDistanceContains(args []adm.Value) (adm.Value, error) {
 	return adm.NewBool(false), nil
 }
 
-// TokensOf exposes the token-list coercion the similarity builtins use
-// (a list or bag of values becomes string tokens) so runtimes that
-// amortize similarity checks across tuples see exactly the same tokens
-// as per-tuple evaluation.
-func TokensOf(v adm.Value) ([]string, bool) { return tokensOf(v) }
-
 func tokensOf(v adm.Value) ([]string, bool) {
 	switch v.Kind() {
 	case adm.KindList, adm.KindBag:

@@ -139,11 +139,6 @@ type Op struct {
 
 	// OpSelect / OpJoin
 	Cond Expr
-	// BatchVerify, on OpSelect, marks a condition carrying a similarity
-	// conjunct with a constant query side. Job generation lowers such
-	// selects to the vectorized verify operator, which tokenizes the
-	// query once per instance and checks candidates in batches.
-	BatchVerify bool
 	// FusedAssignVars/FusedAssignExprs, on OpSelect, hold an Assign the
 	// specialization pass folded into the select: the evaluator computes
 	// these bindings and the condition in one pass over each tuple. The
@@ -548,9 +543,6 @@ func opDetail(o *Op) string {
 				parts[i] = fmt.Sprintf("%v := %s", o.FusedAssignVars[i], o.FusedAssignExprs[i])
 			}
 			d += fmt.Sprintf(" [fused-assign %s]", strings.Join(parts, ", "))
-		}
-		if o.Kind == OpSelect && o.BatchVerify {
-			d += " [batched]"
 		}
 		return d
 	case OpAssign:

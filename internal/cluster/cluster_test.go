@@ -37,26 +37,28 @@ func mustErr(t *testing.T, c *Cluster, sess *Session, src string) {
 	}
 }
 
-// loadReviews populates a small review dataset with usernames and
-// summaries modeled on the paper's Figure 1.
+// reviewRows is the review dataset loadReviews populates, with
+// usernames and summaries modeled on the paper's Figure 1.
+var reviewRows = []struct {
+	id       int64
+	username string
+	summary  string
+}{
+	{1, "james", "This movie touched my heart!"},
+	{2, "mary", "The best car charger I ever bought"},
+	{3, "mario", "Different than my usual but good"},
+	{4, "jamie", "Great Product - Fantastic Gift"},
+	{5, "maria", "Better ever than I expected"},
+	{6, "marla", "Great product fantastic quality"},
+	{7, "johnny", "Best product ever bought"},
+	{8, "joanna", "Totally great product works fine"},
+}
+
+// loadReviews creates the Reviews dataset and loads reviewRows.
 func loadReviews(t *testing.T, c *Cluster, sess *Session) {
 	t.Helper()
 	exec(t, c, sess, `create dataset Reviews primary key id;`)
-	rows := []struct {
-		id       int64
-		username string
-		summary  string
-	}{
-		{1, "james", "This movie touched my heart!"},
-		{2, "mary", "The best car charger I ever bought"},
-		{3, "mario", "Different than my usual but good"},
-		{4, "jamie", "Great Product - Fantastic Gift"},
-		{5, "maria", "Better ever than I expected"},
-		{6, "marla", "Great product fantastic quality"},
-		{7, "johnny", "Best product ever bought"},
-		{8, "joanna", "Totally great product works fine"},
-	}
-	for _, r := range rows {
+	for _, r := range reviewRows {
 		rec := adm.EmptyRecord(3)
 		rec.Set("id", adm.NewInt(r.id))
 		rec.Set("username", adm.NewString(r.username))
@@ -98,30 +100,44 @@ func TestEditDistanceSelectionScanVsIndex(t *testing.T) {
 	c := newTestCluster(t, 2, 2)
 	sess := NewSession()
 	loadReviews(t, c, sess)
-	query := `
-		for $r in dataset Reviews
-		where edit-distance($r.username, 'marla') <= 1
-		return $r.id
-	`
-	scanRes := exec(t, c, sess, query)
+	cases := []struct {
+		cond string
+		want string
+	}{
+		// marla ~1: maria(5) and marla(6); ed(mary, marla) = 2.
+		{`edit-distance($r.username, 'marla') <= 1`, "[5 6]"},
+		// Strict and non-integer thresholds: distances are integers, so
+		// < 1.5 admits distance 1 exactly like < 2 and <= 1.
+		{`edit-distance($r.username, 'mario') < 1.5`, "[3 5]"},
+		{`1.5 > edit-distance($r.username, 'mario')`, "[3 5]"},
+		{`edit-distance($r.username, 'mario') < 2`, "[3 5]"},
+	}
+	query := func(cond string) string {
+		return `for $r in dataset Reviews where ` + cond + ` return $r.id`
+	}
+	scanRes := make([]*Result, len(cases))
+	for i, tc := range cases {
+		scanRes[i] = exec(t, c, sess, query(tc.cond))
+	}
 	// Build the 2-gram index, then re-run: identical answers via the
 	// index path (the paper's correctness invariant).
 	exec(t, c, sess, `create index nix on Reviews(username) type ngram(2);`)
-	idxRes := exec(t, c, sess, query)
-	want := rowInts(t, scanRes.Rows)
-	got := rowInts(t, idxRes.Rows)
-	if fmt.Sprint(want) != fmt.Sprint(got) {
-		t.Errorf("index path %v != scan path %v", got, want)
-	}
-	// marla ~1: maria, marla... dataset has maria(5), mary(2)? ed(mary,marla)=2. Expect {5,6}.
-	if fmt.Sprint(got) != "[5 6]" {
-		t.Errorf("unexpected answer %v", got)
-	}
-	if idxRes.Stats.IndexSearches == 0 {
-		t.Error("index path did not touch the inverted index")
-	}
-	if scanRes.Stats.IndexSearches != 0 {
-		t.Error("scan path should not search an index")
+	for i, tc := range cases {
+		idxRes := exec(t, c, sess, query(tc.cond))
+		want := rowInts(t, scanRes[i].Rows)
+		got := rowInts(t, idxRes.Rows)
+		if fmt.Sprint(want) != fmt.Sprint(got) {
+			t.Errorf("%s: index path %v != scan path %v", tc.cond, got, want)
+		}
+		if fmt.Sprint(want) != tc.want {
+			t.Errorf("%s: unexpected answer %v, want %s", tc.cond, want, tc.want)
+		}
+		if idxRes.Stats.IndexSearches == 0 {
+			t.Errorf("%s: index path did not touch the inverted index", tc.cond)
+		}
+		if scanRes[i].Stats.IndexSearches != 0 {
+			t.Errorf("%s: scan path should not search an index", tc.cond)
+		}
 	}
 }
 
@@ -264,6 +280,32 @@ func TestJaccardJoinIndexNestedLoop(t *testing.T) {
 	res2 := exec(t, c, noIdx, query)
 	if fmt.Sprint(rowInts(t, res2.Rows)) != fmt.Sprint(rowInts(t, res.Rows)) {
 		t.Errorf("no-index path differs: %v", rowInts(t, res2.Rows))
+	}
+}
+
+// TestJaccardZeroThresholdJoin checks that a Jaccard join at threshold
+// 0, which every pair satisfies, returns all pairs whether the
+// optimizer could pick the three-stage join or the index nested loop:
+// token-based filters cannot find pairs sharing no token.
+func TestJaccardZeroThresholdJoin(t *testing.T) {
+	c := newTestCluster(t, 2, 2)
+	sess := NewSession()
+	loadReviews(t, c, sess)
+	query := `
+		for $a in dataset Reviews
+		for $b in dataset Reviews
+		where similarity-jaccard(word-tokens($a.summary), word-tokens($b.summary)) >= 0.0
+		  and $a.id < $b.id
+		return $b.id
+	`
+	n := len(reviewRows)
+	want := n * (n - 1) / 2
+	if got := len(exec(t, c, sess, query).Rows); got != want {
+		t.Errorf("no index: %d pairs, want %d", got, want)
+	}
+	exec(t, c, sess, `create index smix on Reviews(summary) type keyword;`)
+	if got := len(exec(t, c, sess, query).Rows); got != want {
+		t.Errorf("with index: %d pairs, want %d", got, want)
 	}
 }
 

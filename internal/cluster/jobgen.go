@@ -8,8 +8,6 @@ import (
 	"simdb/internal/adm"
 	"simdb/internal/algebra"
 	"simdb/internal/hyracks"
-	"simdb/internal/optimizer"
-	"simdb/internal/sim"
 )
 
 // QueryCounters collects similarity-specific work metrics during one
@@ -282,14 +280,6 @@ func (g *jobGen) genSelect(op *algebra.Op) (*genOut, error) {
 	if verifier {
 		name = "Select(verify)"
 	}
-	if op.BatchVerify {
-		cols := colMap(in.schema)
-		if fn, ok := batchedVerifyOp(op.Cond, cols, verifier, counters); ok {
-			node := g.job.Add(compiledMark(name+"[batched]", op), in.parts, fn,
-				g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
-			return &genOut{node: node, schema: in.schema, parts: in.parts, sortCols: in.sortCols}, nil
-		}
-	}
 	schema := in.schema
 	if len(op.FusedAssignVars) > 0 {
 		schema = append(append([]algebra.Var(nil), in.schema...), op.FusedAssignVars...)
@@ -335,109 +325,6 @@ func (g *jobGen) genSelect(op *algebra.Op) (*genOut, error) {
 			return nil
 		}, nil), g.inputFrom(in, hyracks.ConnectorSpec{Type: hyracks.OneToOne}))
 	return &genOut{node: node, schema: schema, parts: in.parts, sortCols: in.sortCols}, nil
-}
-
-// batchedVerifyOp lowers a BatchVerify-marked select condition to a
-// vectorized operator: the Jaccard conjunct's constant query side is
-// tokenized once here at job-generation time, each operator instance
-// gets its own JaccardChecker (the count map is mutable scratch), and
-// candidates are checked a frame at a time with the length filter and
-// early termination of similarity-jaccard-check. Remaining conjuncts
-// evaluate per survivor. Returns ok=false when the condition does not
-// decompose after all — the caller falls back to the per-tuple select,
-// which is always semantically equivalent.
-// batchVerifyState is one verifier instance's mutable scratch: the
-// checker's count map and a reused interpreter Env.
-type batchVerifyState struct {
-	checker *sim.JaccardChecker
-	env     *algebra.Env
-}
-
-func batchedVerifyOp(cond algebra.Expr, cols map[algebra.Var]int, verifier bool, counters *QueryCounters) (func() hyracks.Operator, bool) {
-	conjs := algebra.Conjuncts(cond)
-	simIdx := -1
-	var sc optimizer.SimConjunct
-	for i, conj := range conjs {
-		c, ok := optimizer.ParseSimConjunct(conj)
-		if !ok || c.Fn != "jaccard" {
-			continue
-		}
-		lConst := len(algebra.UsedVars(c.Left, nil)) == 0
-		rConst := len(algebra.UsedVars(c.Right, nil)) == 0
-		if lConst == rConst {
-			continue
-		}
-		if !lConst {
-			c.Left, c.Right = c.Right, c.Left
-		}
-		simIdx, sc = i, c
-		break
-	}
-	if simIdx < 0 {
-		return nil, false
-	}
-	qv, err := algebra.Eval(sc.Left, algebra.NewEnv(nil, nil))
-	if err != nil {
-		return nil, false
-	}
-	queryToks, ok := algebra.TokensOf(qv)
-	if !ok {
-		return nil, false
-	}
-	candExpr, delta := sc.Right, sc.Threshold
-	var rest algebra.Expr
-	if len(conjs) > 1 {
-		others := make([]algebra.Expr, 0, len(conjs)-1)
-		others = append(others, conjs[:simIdx]...)
-		others = append(others, conjs[simIdx+1:]...)
-		rest = algebra.AndAll(others)
-	}
-	return hyracks.FlatMapBatch(
-		func() *batchVerifyState {
-			return &batchVerifyState{
-				checker: sim.NewJaccardChecker(queryToks),
-				env:     algebra.NewEnv(cols, nil),
-			}
-		},
-		func(ctx *hyracks.TaskCtx, st *batchVerifyState, batch []hyracks.Tuple, emit func(hyracks.Tuple)) error {
-			checker, env := st.checker, st.env
-			for _, t := range batch {
-				env.Reset(t)
-				cv, err := algebra.Eval(candExpr, env)
-				if err != nil {
-					return err
-				}
-				if toks, ok := algebra.TokensOf(cv); ok {
-					if _, pass := checker.Check(toks, delta); !pass {
-						continue
-					}
-				} else {
-					// Null or non-list candidate: defer to the original
-					// conjunct so edge-case semantics stay identical.
-					v, err := algebra.Eval(sc.Orig, env)
-					if err != nil {
-						return err
-					}
-					if !algebra.Truthy(v) {
-						continue
-					}
-				}
-				if rest != nil {
-					v, err := algebra.Eval(rest, env)
-					if err != nil {
-						return err
-					}
-					if !algebra.Truthy(v) {
-						continue
-					}
-				}
-				if verifier {
-					counters.VerifiedTotal.Add(1)
-				}
-				emit(t)
-			}
-			return nil
-		}), true
 }
 
 func (g *jobGen) genAssign(op *algebra.Op) (*genOut, error) {

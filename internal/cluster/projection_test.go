@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
 
 	"simdb/internal/adm"
 	"simdb/internal/optimizer"
+	"simdb/internal/sim"
+	"simdb/internal/tokenizer"
 )
 
 // sessWith returns a session whose optimizer options are DefaultOptions
@@ -98,7 +101,6 @@ func TestPlanCacheKeyedByOptions(t *testing.T) {
 
 	base := sessWith(nil)
 	noProj := sessWith(func(o *optimizer.Options) { o.ProjectionPushdown = false })
-	noBatch := sessWith(func(o *optimizer.Options) { o.BatchedVerify = false })
 
 	if res := exec(t, c, base, jaccardQuery); res.Stats.PlanCacheHit {
 		t.Fatal("cold execution hit the cache")
@@ -109,68 +111,85 @@ func TestPlanCacheKeyedByOptions(t *testing.T) {
 	if res := exec(t, c, noProj, jaccardQuery); res.Stats.PlanCacheHit {
 		t.Fatal("different ProjectionPushdown reused a cached plan")
 	}
-	if res := exec(t, c, noBatch, jaccardQuery); res.Stats.PlanCacheHit {
-		t.Fatal("different BatchedVerify reused a cached plan")
-	}
-	if st := c.PlanCache().Stats(); st.Entries != 3 {
-		t.Fatalf("cache entries = %d, want 3 (one per option set): %+v", st.Entries, st)
+	if st := c.PlanCache().Stats(); st.Entries != 2 {
+		t.Fatalf("cache entries = %d, want 2 (one per option set): %+v", st.Entries, st)
 	}
 }
 
-// TestBatchedVerifyEquivalence runs similarity selections with the
-// vectorized verifier on and off and demands identical rows, covering
-// extra conjuncts, strict comparison, the flipped argument order, and
-// the index-candidate verification path.
-func TestBatchedVerifyEquivalence(t *testing.T) {
+// TestSimilarityVerifyMatchesReference runs Jaccard selections with a
+// constant query side through scan and index plans over both storage
+// formats and checks each answer against a reference computed here by
+// a naive loop over the review rows. The shapes cover an extra
+// conjunct, a strict comparison with the constant on the left, and a
+// zero threshold; on the index plan the select above the index search
+// is the global verification stage and must count every survivor.
+func TestSimilarityVerifyMatchesReference(t *testing.T) {
+	type shape struct {
+		query string
+		keep  func(id int64, summary string) bool
+	}
+	jaccardWith := func(q string) func(string) float64 {
+		qt := tokenizer.WordTokens(q)
+		return func(summary string) float64 { return sim.Jaccard(tokenizer.WordTokens(summary), qt) }
+	}
+	great := jaccardWith("great product fantastic")
+	best := jaccardWith("best product ever")
+	nothing := jaccardWith("nothing shared here")
+	shapes := []shape{
+		{jaccardQuery, func(_ int64, s string) bool { return great(s) >= 0.5 }},
+		// Extra conjunct alongside the similarity predicate.
+		{`for $r in dataset Reviews
+		  where similarity-jaccard(word-tokens($r.summary),
+		                           word-tokens('great product fantastic')) >= 0.3
+		    and $r.id >= 4
+		  return $r.id`,
+			func(id int64, s string) bool { return great(s) >= 0.3 && id >= 4 }},
+		// Strict comparison and flipped argument order.
+		{`for $r in dataset Reviews
+		  where similarity-jaccard(word-tokens('best product ever'),
+		                           word-tokens($r.summary)) > 0.4
+		  return $r.id`,
+			func(_ int64, s string) bool { return best(s) > 0.4 }},
+		// Zero threshold keeps every record.
+		{`for $r in dataset Reviews
+		  where similarity-jaccard(word-tokens($r.summary),
+		                           word-tokens('nothing shared here')) >= 0.0
+		  return $r.id`,
+			func(_ int64, s string) bool { return nothing(s) >= 0.0 }},
+	}
+	reference := func(sh shape) string {
+		var ids []int64
+		for _, r := range reviewRows {
+			if sh.keep(r.id, r.summary) {
+				ids = append(ids, r.id)
+			}
+		}
+		return fmt.Sprint(ids)
+	}
 	for _, format := range []string{"row", "columnar"} {
 		t.Run(format, func(t *testing.T) {
 			c := newTestClusterFormat(t, format)
 			sess := NewSession()
 			loadReviews(t, c, sess)
-
-			queries := []string{
-				jaccardQuery,
-				// Extra conjunct alongside the similarity predicate.
-				`for $r in dataset Reviews
-				 where similarity-jaccard(word-tokens($r.summary),
-				                          word-tokens('great product fantastic')) >= 0.3
-				   and $r.id >= 4
-				 return $r.id`,
-				// Strict comparison and flipped argument order.
-				`for $r in dataset Reviews
-				 where similarity-jaccard(word-tokens('best product ever'),
-				                          word-tokens($r.summary)) > 0.4
-				 return $r.id`,
-				// Zero threshold keeps every record.
-				`for $r in dataset Reviews
-				 where similarity-jaccard(word-tokens($r.summary),
-				                          word-tokens('nothing shared here')) >= 0.0
-				 return $r.id`,
-			}
-			on := sessWith(nil)
-			off := sessWith(func(o *optimizer.Options) { o.BatchedVerify = false })
-			for _, q := range queries {
-				got := exec(t, c, on, q)
-				want := exec(t, c, off, q)
-				if gs, ws := resultKey(got), resultKey(want); gs != ws {
-					t.Errorf("query %q: batched %q, per-tuple %q", q, gs, ws)
+			check := func(plan string) {
+				for _, sh := range shapes {
+					res := exec(t, c, sess, sh.query)
+					if got, want := fmt.Sprint(rowInts(t, res.Rows)), reference(sh); got != want {
+						t.Errorf("%s plan, query %q: got %s, reference %s", plan, sh.query, got, want)
+					}
 				}
 			}
-			if res := exec(t, c, on, jaccardQuery); !strings.Contains(res.Stats.LogicalPlan, "[batched]") {
-				t.Errorf("batched plan not marked:\n%s", res.Stats.LogicalPlan)
-			}
+			check("scan")
 
-			// Index plan: the batched select is the global verification
-			// stage, so it must also keep the verified-count bookkeeping.
 			exec(t, c, sess, `create index rsum on Reviews(summary) type keyword;`)
-			idxOn := exec(t, c, on, jaccardQuery)
-			idxOff := exec(t, c, off, jaccardQuery)
-			if gs, ws := resultKey(idxOn), resultKey(idxOff); gs != ws {
-				t.Errorf("index plan: batched %q, per-tuple %q", gs, ws)
+			check("index")
+			res := exec(t, c, sess, jaccardQuery)
+			if res.Stats.IndexSearches == 0 {
+				t.Fatalf("jaccard query did not use the index:\n%s", res.Stats.LogicalPlan)
 			}
-			if idxOn.Stats.VerifiedTotal != int64(len(idxOn.Rows)) {
-				t.Errorf("batched verifier counted %d, want %d survivors",
-					idxOn.Stats.VerifiedTotal, len(idxOn.Rows))
+			if res.Stats.VerifiedTotal != int64(len(res.Rows)) {
+				t.Errorf("verifier counted %d, want %d survivors",
+					res.Stats.VerifiedTotal, len(res.Rows))
 			}
 		})
 	}

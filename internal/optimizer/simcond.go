@@ -27,7 +27,9 @@ type simCond struct {
 //	similarity-jaccard(a, b) >= d      d <= similarity-jaccard(a, b)
 //	edit-distance(a, b) <= k           k >= edit-distance(a, b)
 //
-// plus the strict variants (>, <) which round the threshold.
+// plus the strict variants (>, <). Thresholds are normalized to the
+// inclusive form: jaccard's strict delta moves up by one ulp, and edit
+// distance's k becomes the largest integer distance that qualifies.
 func parseSimCond(e algebra.Expr) (simCond, bool) {
 	call, ok := e.(algebra.Call)
 	if !ok || len(call.Args) != 2 {
@@ -61,12 +63,21 @@ func parseSimCond(e algebra.Expr) (simCond, bool) {
 		default:
 			return simCond{}, false
 		}
+		if th <= 0 {
+			// Every pair of token lists qualifies, including pairs
+			// sharing no token, which no token-based filter or index
+			// probe can find: keep the scan or nested-loop plan.
+			return simCond{}, false
+		}
 		return simCond{Fn: "jaccard", Left: fcall.Args[0], Right: fcall.Args[1], Threshold: th, Orig: e}, true
 	case "edit-distance":
+		// Distances are integers: d <= k iff d <= floor(k), and
+		// d < k iff d <= ceil(k)-1.
 		switch cmp {
 		case "le":
+			th = math.Floor(th)
 		case "lt":
-			th = th - 1
+			th = math.Ceil(th) - 1
 		default:
 			return simCond{}, false
 		}

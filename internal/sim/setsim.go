@@ -75,84 +75,6 @@ func JaccardCheck(a, b []string, delta float64) (float64, bool) {
 	return sim, true
 }
 
-// JaccardChecker amortizes JaccardCheck's per-call setup across many
-// candidates sharing one query token multiset: the query's count map
-// is built once, and each check restores it afterwards by replaying
-// only the tokens it decremented. Not safe for concurrent use — give
-// each goroutine its own checker.
-type JaccardChecker struct {
-	counts  map[string]int
-	qLen    int
-	touched []string
-}
-
-// NewJaccardChecker builds a checker for a fixed query token multiset.
-func NewJaccardChecker(query []string) *JaccardChecker {
-	c := &JaccardChecker{counts: make(map[string]int, len(query)), qLen: len(query)}
-	for _, t := range query {
-		c.counts[t]++
-	}
-	return c
-}
-
-// Check reports whether Jaccard(query, cand) >= delta, exactly like
-// JaccardCheck(query, cand, delta) — length filter, early termination,
-// and float behavior included — without rebuilding the count map.
-func (c *JaccardChecker) Check(cand []string, delta float64) (float64, bool) {
-	la, lb := c.qLen, len(cand)
-	if delta <= 0 {
-		inter := c.intersect(cand, 0)
-		union := la + lb - inter
-		if union == 0 {
-			return 0, true
-		}
-		return float64(inter) / float64(union), true
-	}
-	if la == 0 || lb == 0 {
-		return 0, false
-	}
-	minLen, maxLen := la, lb
-	if minLen > maxLen {
-		minLen, maxLen = maxLen, minLen
-	}
-	if float64(minLen) < delta*float64(maxLen)-1e-9 {
-		return 0, false
-	}
-	required := int(math.Ceil(delta/(1+delta)*float64(la+lb) - 1e-9))
-	inter := c.intersect(cand, required)
-	if inter < required {
-		return 0, false
-	}
-	sim := float64(inter) / float64(la+lb-inter)
-	if sim < delta {
-		return 0, false
-	}
-	return sim, true
-}
-
-// intersect counts the multiset overlap with cand, stopping early once
-// the remaining candidate tokens cannot reach required, then restores
-// the count map. required <= 0 disables early termination.
-func (c *JaccardChecker) intersect(cand []string, required int) int {
-	inter := 0
-	lb := len(cand)
-	for i, t := range cand {
-		if cnt := c.counts[t]; cnt > 0 {
-			c.counts[t] = cnt - 1
-			c.touched = append(c.touched, t)
-			inter++
-		}
-		if required > 0 && inter+(lb-i-1) < required {
-			break
-		}
-	}
-	for _, t := range c.touched {
-		c.counts[t]++
-	}
-	c.touched = c.touched[:0]
-	return inter
-}
-
 // Dice returns 2|a ∩ b| / (|a| + |b|).
 func Dice(a, b []string) float64 {
 	if len(a)+len(b) == 0 {
