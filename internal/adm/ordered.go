@@ -103,3 +103,59 @@ func appendOrderedBytes(dst []byte, s string) []byte {
 	}
 	return append(dst, 0x00, 0x01)
 }
+
+// DecodeOrderedScalar decodes the scalar ordered key at the front of b
+// and returns its value and the bytes after it; ok is false when b does
+// not start with a complete scalar key. Ints and doubles share one
+// encoding, so numbers decode as an int when integral and exactly
+// representable, else as a double. EXPLAIN uses it to print key ranges.
+func DecodeOrderedScalar(b []byte) (v Value, rest []byte, ok bool) {
+	if len(b) == 0 {
+		return Null, nil, false
+	}
+	switch int(b[0]) {
+	case rankOf(KindNull):
+		return Null, b[1:], true
+	case rankOf(KindBool):
+		if len(b) < 2 {
+			return Null, nil, false
+		}
+		return NewBool(b[1] != 0), b[2:], true
+	case rankOf(KindInt):
+		if len(b) < 9 {
+			return Null, nil, false
+		}
+		bits := binary.BigEndian.Uint64(b[1:])
+		var f float64
+		switch {
+		case bits == 0:
+			f = math.NaN()
+		case bits&(1<<63) != 0:
+			f = math.Float64frombits(bits &^ (1 << 63))
+		default:
+			f = math.Float64frombits(^bits)
+		}
+		if f == math.Trunc(f) && math.Abs(f) < 1<<53 {
+			return NewInt(int64(f)), b[9:], true
+		}
+		return NewDouble(f), b[9:], true
+	case rankOf(KindString):
+		var s []byte
+		for i := 1; i+1 < len(b); i++ {
+			if b[i] != 0x00 {
+				s = append(s, b[i])
+				continue
+			}
+			switch b[i+1] {
+			case 0x01:
+				return NewString(string(s)), b[i+2:], true
+			case 0xFF:
+				s = append(s, 0x00)
+				i++
+			default:
+				return Null, nil, false
+			}
+		}
+	}
+	return Null, nil, false
+}

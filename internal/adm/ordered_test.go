@@ -102,3 +102,25 @@ func TestOrderedKeyEqualValuesEncodeEqually(t *testing.T) {
 		t.Error("distinct values should differ")
 	}
 }
+
+func TestDecodeOrderedScalarRoundTrip(t *testing.T) {
+	for _, v := range []Value{
+		Null, NewBool(false), NewBool(true), NewInt(0), NewInt(-7), NewInt(1010),
+		NewDouble(1010.5), NewDouble(-0.25), NewDouble(1 << 60),
+		NewString(""), NewString("abc"), NewString("a\x00b\x00"),
+	} {
+		key := append(OrderedKey(v), 0x00)
+		got, rest, ok := DecodeOrderedScalar(key)
+		if !ok || Compare(got, v) != 0 || !bytes.Equal(rest, []byte{0x00}) {
+			t.Errorf("DecodeOrderedScalar(OrderedKey(%v)+00) = %v, %q, %v", v, got, rest, ok)
+		}
+	}
+	if got, _, _ := DecodeOrderedScalar(OrderedKey(NewDouble(3))); got.Kind() != KindInt {
+		t.Errorf("integral double decoded as %v, want an int", got.Kind())
+	}
+	for _, bad := range [][]byte{nil, {1}, {2, 0x80}, {3, 'a'}, {3, 0x00, 0x02}, OrderedKey(NewStringList([]string{"a"}))} {
+		if _, _, ok := DecodeOrderedScalar(bad); ok {
+			t.Errorf("DecodeOrderedScalar(%q) accepted a malformed or composite key", bad)
+		}
+	}
+}

@@ -3,6 +3,8 @@ package algebra
 import (
 	"fmt"
 	"strings"
+
+	"simdb/internal/adm"
 )
 
 // OpKind enumerates logical (and a few physical) operators.
@@ -136,6 +138,12 @@ type Op struct {
 	// slice — possibly empty — lets the scan decode only those fields
 	// and, on columnar components, skip unreferenced column blocks.
 	ProjectFields []string
+
+	// KeyLo and KeyHi, on OpScan, narrow the scan to primary keys in
+	// [KeyLo, KeyHi), in adm.OrderedKey bytes; nil leaves that end
+	// open. The pk-range rule sets them from a select it keeps above
+	// the scan, so the range only has to hold every qualifying key.
+	KeyLo, KeyHi []byte
 
 	// OpSelect / OpJoin
 	Cond Expr
@@ -524,12 +532,47 @@ func Print(root *Op) string {
 	return b.String()
 }
 
+// formatKeyRange renders a scan's primary-key range with decoded
+// bounds: [1000, 1010) for keys 1000 <= k < 1010. A bound one byte past
+// a key (the successor the pk-range rule uses for le, eq and gt) flips
+// that end's bracket: (1000 excludes 1000, 1010] includes 1010.
+func formatKeyRange(lo, hi []byte) string {
+	// bound decodes one end; succ reports a key one byte past a value.
+	bound := func(k []byte) (s string, succ bool) {
+		v, rest, ok := adm.DecodeOrderedScalar(k)
+		switch {
+		case ok && len(rest) == 0:
+			return v.String(), false
+		case ok && len(rest) == 1 && rest[0] == 0:
+			return v.String(), true
+		}
+		return fmt.Sprintf("%x", k), false
+	}
+	l, r := "(-inf", "+inf)"
+	if lo != nil {
+		s, succ := bound(lo)
+		if l = "[" + s; succ {
+			l = "(" + s
+		}
+	}
+	if hi != nil {
+		s, succ := bound(hi)
+		if r = s + ")"; succ {
+			r = s + "]"
+		}
+	}
+	return l + ", " + r
+}
+
 func opDetail(o *Op) string {
 	switch o.Kind {
 	case OpScan:
 		d := fmt.Sprintf(" %s.%s -> pk:%v rec:%v", o.Dataverse, o.Dataset, o.PKVar, o.RecVar)
 		if o.ProjectFields != nil {
 			d += fmt.Sprintf(" project:[%s]", strings.Join(o.ProjectFields, ", "))
+		}
+		if o.KeyLo != nil || o.KeyHi != nil {
+			d += " key:" + formatKeyRange(o.KeyLo, o.KeyHi)
 		}
 		return d
 	case OpSelect, OpJoin:

@@ -225,9 +225,10 @@ func (g *jobGen) genScan(op *algebra.Op) (*genOut, error) {
 	pkField := meta.PKField
 	fields := scanFields(op.ProjectFields, pkField)
 	c := g.c
+	lo, hi := op.KeyLo, op.KeyHi
 	node := g.job.Add("DataScan("+ds+")", g.parts, hyracks.SourceFunc(
 		func(ctx *hyracks.TaskCtx, emit func(hyracks.Tuple)) error {
-			return c.scanPartition(ctx.Ctx, dv, ds, pkField, fields, ctx.Part, emit)
+			return c.scanPartition(ctx.Ctx, dv, ds, pkField, fields, lo, hi, ctx.Part, emit)
 		}))
 	return &genOut{node: node, schema: []algebra.Var{op.PKVar, op.RecVar}, parts: g.parts}, nil
 }

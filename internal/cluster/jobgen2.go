@@ -467,14 +467,15 @@ func (g *jobGen) genPrimaryLookup(op *algebra.Op) (*genOut, error) {
 }
 
 // scanPartition streams one partition of a dataset as (pk, record)
-// tuples. The scan reads a refcounted LSM snapshot (never blocking
-// concurrent writers) and honors ctx cancellation between batches.
+// tuples with encoded primary keys in [lo, hi) (nil: open end). The
+// scan reads a refcounted LSM snapshot (never blocking concurrent
+// writers) and honors ctx cancellation between batches.
 // A non-nil fields list restricts the scan to those top-level record
 // fields: columnar components read only the matching column blocks,
 // and row components skip decoding the unreferenced fields. The
 // emitted records then carry just the projected fields, which is
 // only correct because the optimizer proved no other field is used.
-func (c *Cluster) scanPartition(ctx context.Context, dv, ds, pkField string, fields []string, part int, emit func(hyracks.Tuple)) error {
+func (c *Cluster) scanPartition(ctx context.Context, dv, ds, pkField string, fields []string, lo, hi []byte, part int, emit func(hyracks.Tuple)) error {
 	node := c.nodeOfPartition(part)
 	tree, err := node.primary(dv, ds, part)
 	if err != nil {
@@ -488,7 +489,7 @@ func (c *Cluster) scanPartition(ctx context.Context, dv, ds, pkField string, fie
 		}
 	}
 	var scanErr error
-	err = tree.ScanProjectedContext(ctx, nil, nil, fields, func(key, val []byte) bool {
+	err = tree.ScanProjectedContext(ctx, lo, hi, fields, func(key, val []byte) bool {
 		var rec adm.Value
 		if keep != nil {
 			if r, ok := adm.DecodeRecordProjected(val, keep); ok {

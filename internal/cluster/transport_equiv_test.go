@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -220,6 +221,35 @@ func TestTransportEquivalence(t *testing.T) {
 			return { 'l': $a.id, 'r': $b.id }`)
 		if len(res.Rows) == 0 {
 			t.Error("three-stage jaccard join found no pairs")
+		}
+	})
+
+	t.Run("pk-range", func(t *testing.T) {
+		// Primary-key ranges narrow the data scans on both transports:
+		// a plain range, the outer side of an index-nested-loop join,
+		// and a self-join ranged on one side only.
+		for src, want := range map[string]int64{
+			`count(for $r in dataset EqReviews where $r.id >= 40 and 60 > $r.id return $r.id)`: 20,
+			`count(for $o in dataset EqReviews for $i in dataset EqReviews
+			   where $o.id = $i.id - 1 and $o.id >= 10 and $o.id <= 30 return $o.id)`: 21,
+		} {
+			a, b := assertEquivalent(t, inproc, tcp, plainSession, src)
+			if len(a.Rows) != 1 || a.Rows[0].Int() != want {
+				t.Errorf("%s = %v, want [%d]", src, a.Rows, want)
+			}
+			if !strings.Contains(b.Stats.LogicalPlan, "key:[") {
+				t.Errorf("tcp plan has no ranged scan:\n%s", b.Stats.LogicalPlan)
+			}
+		}
+		a, b := assertEquivalent(t, inproc, tcp, plainSession, `
+			for $o in dataset EqReviews
+			for $i in dataset EqReviews
+			where similarity-jaccard(word-tokens($o.summary), word-tokens($i.summary)) >= 0.6
+			  and $o.id >= 100 and $o.id < 120 and $o.id < $i.id
+			return { 'l': $o.id, 'r': $i.id }`)
+		if a.Stats.IndexSearches == 0 || b.Stats.IndexSearches == 0 || len(a.Rows) == 0 {
+			t.Errorf("ranged INLJ: %d rows, index searches inproc %d, tcp %d",
+				len(a.Rows), a.Stats.IndexSearches, b.Stats.IndexSearches)
 		}
 	})
 

@@ -245,8 +245,14 @@ func MergeSkipMerge(lists [][]PK, t int) []PK  { return mergeSkip(lists, t) }
 func DivideSkipMerge(lists [][]PK, t int) []PK { return divideSkip(lists, t) }
 
 // scanCount counts occurrences with a hash map, then sorts the result.
+// The map is sized for the total posting count up front, its upper
+// bound on distinct keys, so counting never rehashes.
 func scanCount(lists [][]PK, t int) []PK {
-	counts := make(map[PK]int)
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	counts := make(map[PK]int, total)
 	for _, l := range lists {
 		for _, pk := range l {
 			counts[pk]++

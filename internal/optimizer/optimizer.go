@@ -142,6 +142,7 @@ func (o *Optimizer) Optimize(root *algebra.Op) (*algebra.Op, error) {
 		{
 			{"index-join", indexJoinRule},
 			{"index-selection", indexSelectionRule},
+			{"pk-range", pkRangeRule},
 		},
 		// Subplan reuse and physical preparation.
 		{

@@ -443,21 +443,24 @@ func normalizeKeys(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error) {
 	})
 }
 
-// reuseScansRule unifies duplicate scans of the same dataset under one
-// shared node, aliasing the duplicates' variables with Assigns (paper
-// §5.4.2: materialize/reuse of identical subplans). Job generation
-// inserts a materializing Replicate for the shared node.
+// reuseScansRule unifies duplicate scans of the same dataset and
+// primary-key range under one shared node, aliasing the duplicates'
+// variables with Assigns (paper §5.4.2: materialize/reuse of identical
+// subplans). Job generation inserts a materializing Replicate for the
+// shared node.
 func reuseScansRule(o *Optimizer, root *algebra.Op) (*algebra.Op, bool, error) {
 	if !o.Opts.ReuseSubplans {
 		return root, false, nil
 	}
-	first := map[string]*algebra.Op{}
+	type scanKey struct{ dataset, lo, hi string }
+	first := map[scanKey]*algebra.Op{}
 	changed := false
 	nr, ch, err := rewriteEverywhere(root, func(op *algebra.Op) (*algebra.Op, bool, error) {
 		if op.Kind != algebra.OpScan {
 			return op, false, nil
 		}
-		key := op.Dataverse + "." + op.Dataset
+		// An ordered key is never empty, so "" stands for an open end.
+		key := scanKey{op.Dataverse + "." + op.Dataset, string(op.KeyLo), string(op.KeyHi)}
 		if prev, ok := first[key]; ok && prev != op {
 			alias := algebra.NewOp(algebra.OpAssign, prev)
 			alias.AssignVars = []algebra.Var{op.PKVar, op.RecVar}

@@ -31,13 +31,20 @@ type pageKey struct {
 	pageNo uint32
 	// tag distinguishes derived views of the same region: "" for the
 	// raw bytes or the full built page, a projection signature for a
-	// projected build (see ReadBuiltTagged).
+	// projected build (see readBuilt).
 	tag string
 }
 
-type cacheEntry struct {
+// cachedPage is one resident cache entry. For a component data page,
+// offs holds the byte offset of each entry, the table point lookups
+// binary-search (see Component.Get). It lives and is evicted with the
+// page bytes, so the cache bounds its memory too: columnar builds
+// supply it with the image they assemble, and row pages build it on
+// their first point lookup. Nil until then.
+type cachedPage struct {
 	key  pageKey
 	data []byte
+	offs atomic.Pointer[[]uint32]
 }
 
 // NewBufferCache creates a cache of capacityBytes total with the given
@@ -64,96 +71,83 @@ func (c *BufferCache) PageSize() int { return c.pageSize }
 // roughly one page each, so one region ≈ one cache page). The returned
 // slice is shared — callers must not modify it.
 func (c *BufferCache) ReadRegion(fileID uint64, r io.ReaderAt, regionNo uint32, off int64, length int) ([]byte, error) {
-	key := pageKey{fileID: fileID, pageNo: regionNo}
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		data := el.Value.(*cacheEntry).data
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return data, nil
+	p, err := c.readRegion(fileID, r, regionNo, off, length)
+	if err != nil {
+		return nil, err
 	}
-	c.mu.Unlock()
-	c.misses.Add(1)
+	return p.data, nil
+}
 
+func (c *BufferCache) readRegion(fileID uint64, r io.ReaderAt, regionNo uint32, off int64, length int) (*cachedPage, error) {
+	key := pageKey{fileID: fileID, pageNo: regionNo}
+	if p := c.lookup(key); p != nil {
+		return p, nil
+	}
 	data := make([]byte, length)
 	n, err := r.ReadAt(data, off)
 	if err != nil && !(err == io.EOF && n == length) {
 		return nil, fmt.Errorf("storage: read region %d of file %d: %w", regionNo, fileID, err)
 	}
 	c.pagesRead.Add(1)
-
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		// Raced with another reader; keep the resident copy.
-		c.lru.MoveToFront(el)
-		data = el.Value.(*cacheEntry).data
-		c.mu.Unlock()
-		return data, nil
-	}
-	el := c.lru.PushFront(&cacheEntry{key: key, data: data})
-	c.entries[key] = el
-	for c.lru.Len() > c.capacity {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		c.evictions.Add(1)
-	}
-	c.mu.Unlock()
-	return data, nil
+	return c.insert(&cachedPage{key: key, data: data}), nil
 }
 
-// ReadBuilt is ReadRegion for derived pages: on miss it calls build to
-// produce the bytes (e.g. materializing a columnar row group into a
-// page image) and caches the result under (fileID, regionNo), so
-// repeated reads of the same group skip both the disk and the
-// reassembly. The returned slice is shared — callers must not modify
-// it.
-func (c *BufferCache) ReadBuilt(fileID uint64, regionNo uint32, build func() ([]byte, error)) ([]byte, error) {
-	return c.ReadBuiltTagged(fileID, regionNo, "", build)
-}
-
-// ReadBuiltTagged is ReadBuilt with an extra cache-key tag, so several
+// readBuilt is readRegion for derived pages: on miss it calls build to
+// produce the bytes (materializing a columnar row group into a page
+// image) and, when it has them, their entry offsets, and caches the
+// result under (fileID, regionNo, tag), so repeated reads of the same
+// group skip both the disk and the reassembly. The tag lets several
 // derived views of one region — the full built page and per-projection
-// partial pages — can be resident at once without colliding. Repeated
-// projected scans of a columnar group then skip both the block reads
-// and the reassembly, the same way full scans do.
-func (c *BufferCache) ReadBuiltTagged(fileID uint64, regionNo uint32, tag string, build func() ([]byte, error)) ([]byte, error) {
+// partial pages — be resident at once without colliding.
+func (c *BufferCache) readBuilt(fileID uint64, regionNo uint32, tag string, build func() ([]byte, []uint32, error)) (*cachedPage, error) {
 	key := pageKey{fileID: fileID, pageNo: regionNo, tag: tag}
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		data := el.Value.(*cacheEntry).data
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return data, nil
+	if p := c.lookup(key); p != nil {
+		return p, nil
 	}
-	c.mu.Unlock()
-	c.misses.Add(1)
-
-	data, err := build()
+	data, offs, err := build()
 	if err != nil {
 		return nil, err
 	}
+	p := &cachedPage{key: key, data: data}
+	if offs != nil {
+		p.offs.Store(&offs)
+	}
+	return c.insert(p), nil
+}
 
+// lookup returns the resident page for key, marking it most recently
+// used, or counts a miss and returns nil.
+func (c *BufferCache) lookup(key pageKey) *cachedPage {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
-		// Raced with another reader; keep the resident copy.
 		c.lru.MoveToFront(el)
-		data = el.Value.(*cacheEntry).data
 		c.mu.Unlock()
-		return data, nil
+		c.hits.Add(1)
+		return el.Value.(*cachedPage)
 	}
-	el := c.lru.PushFront(&cacheEntry{key: key, data: data})
-	c.entries[key] = el
+	c.mu.Unlock()
+	c.misses.Add(1)
+	return nil
+}
+
+// insert makes p resident, evicting least recently used pages beyond
+// capacity, and returns the resident page: a reader that raced p in
+// keeps its copy.
+func (c *BufferCache) insert(p *cachedPage) *cachedPage {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[p.key]; ok {
+		c.lru.MoveToFront(el)
+		return el.Value.(*cachedPage)
+	}
+	c.entries[p.key] = c.lru.PushFront(p)
 	for c.lru.Len() > c.capacity {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
+		delete(c.entries, oldest.Value.(*cachedPage).key)
 		c.evictions.Add(1)
 	}
-	c.mu.Unlock()
-	return data, nil
+	return p
 }
 
 // Evict drops every cached page of fileID (called when a component file

@@ -454,17 +454,19 @@ func pagesFromGroups(groups []colGroupMeta) []pageMeta {
 
 // buildGroupPage materializes group i into the row-format page wire
 // image. With keep == nil it reconstructs every entry byte-identically
-// from the whole group region; with a projection it fetches only the
-// keys, desc, and overflow blocks plus the kept columns through the
-// buffer cache and emits partial records holding just the kept fields.
-func (c *Component) buildGroupPage(i int, keep map[string]bool) ([]byte, error) {
+// from the whole group region and also returns the byte offset of each
+// entry, the table point lookups binary-search; with a projection it
+// fetches only the keys, desc, and overflow blocks plus the kept
+// columns through the buffer cache, emits partial records holding just
+// the kept fields, and returns no offsets (lookups read full images).
+func (c *Component) buildGroupPage(i int, keep map[string]bool) ([]byte, []uint32, error) {
 	g := c.groups[i]
 	var keysB, descB, overB []byte
 	colBs := make([][]byte, len(g.cols))
 	if keep == nil {
 		raw := make([]byte, g.length)
 		if n, err := c.f.ReadAt(raw, g.off); err != nil && n != len(raw) {
-			return nil, fmt.Errorf("storage: read group %d of %s: %w", i, c.path, err)
+			return nil, nil, fmt.Errorf("storage: read group %d of %s: %w", i, c.path, err)
 		}
 		c.cache.pagesRead.Add(1)
 		keysB = raw[g.keysOff : g.keysOff+g.keysLen]
@@ -483,18 +485,18 @@ func (c *Component) buildGroupPage(i int, keep map[string]bool) ([]byte, error) 
 		}
 		var err error
 		if keysB, err = readBlock(0, g.keysOff, g.keysLen); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if descB, err = readBlock(1, g.descOff, g.descLen); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if overB, err = readBlock(2, g.overOff, g.overLen); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for j, cm := range g.cols {
 			if keep[cm.name] {
 				if colBs[j], err = readBlock(3+j, cm.off, cm.len); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 		}
@@ -521,14 +523,21 @@ func (c *Component) buildGroupPage(i int, keep map[string]bool) ([]byte, error) 
 	binary.LittleEndian.PutUint16(out, uint16(g.rows))
 	var fields []adm.RawField
 	tombEntry := []byte{1}
+	var offs []uint32
+	if keep == nil {
+		offs = make([]uint32, 0, g.rows)
+	}
 	for row := 0; row < g.rows; row++ {
+		if keep == nil {
+			offs = append(offs, uint32(len(out)))
+		}
 		key, ok := lenPrefixed(keys)
 		if !ok {
-			return nil, errCorrupt("group key")
+			return nil, nil, errCorrupt("group key")
 		}
 		d, ok := desc.uvarint()
 		if !ok {
-			return nil, errCorrupt("group row descriptor")
+			return nil, nil, errCorrupt("group row descriptor")
 		}
 		var entry []byte
 		switch d {
@@ -536,24 +545,24 @@ func (c *Component) buildGroupPage(i int, keep map[string]bool) ([]byte, error) 
 			entry = tombEntry
 		case 1:
 			if entry, ok = lenPrefixed(over); !ok {
-				return nil, errCorrupt("group overflow entry")
+				return nil, nil, errCorrupt("group overflow entry")
 			}
 		default:
 			nf := d - 2
 			if nf > uint64(g.descLen) {
-				return nil, errCorrupt("group field count")
+				return nil, nil, errCorrupt("group field count")
 			}
 			fields = fields[:0]
 			for j := uint64(0); j < nf; j++ {
 				ref, ok := desc.uvarint()
 				if !ok || ref > uint64(len(g.cols)) {
-					return nil, errCorrupt("group field ref")
+					return nil, nil, errCorrupt("group field ref")
 				}
 				if ref == 0 {
 					name, ok1 := lenPrefixed(over)
 					val, ok2 := lenPrefixed(over)
 					if !ok1 || !ok2 {
-						return nil, errCorrupt("group overflow field")
+						return nil, nil, errCorrupt("group overflow field")
 					}
 					if keep == nil || keep[string(name)] {
 						fields = append(fields, adm.RawField{Name: name, Val: val})
@@ -565,7 +574,7 @@ func (c *Component) buildGroupPage(i int, keep map[string]bool) ([]byte, error) 
 					}
 					val, ok := lenPrefixed(colPos[ci])
 					if !ok {
-						return nil, errCorrupt("group column value")
+						return nil, nil, errCorrupt("group column value")
 					}
 					if keep == nil || keep[g.cols[ci].name] {
 						fields = append(fields, adm.RawField{Name: colName[ci], Val: val})
@@ -584,5 +593,5 @@ func (c *Component) buildGroupPage(i int, keep map[string]bool) ([]byte, error) 
 		out = binary.AppendUvarint(out, uint64(len(entry)))
 		out = append(out, entry...)
 	}
-	return out, nil
+	return out, offs, nil
 }

@@ -276,7 +276,7 @@ func OpenComponentFS(fs VFS, path string, cache *BufferCache) (*Component, error
 	indexOff := int64(binary.LittleEndian.Uint64(footer[20:]))
 	bloomOff := int64(binary.LittleEndian.Uint64(footer[28:]))
 	total := int64(binary.LittleEndian.Uint64(footer[36:]))
-	if total != st.Size() || indexOff > bloomOff || bloomOff > st.Size()-footerSize {
+	if total != st.Size() || indexOff < 0 || indexOff > bloomOff || bloomOff > st.Size()-footerSize {
 		f.Close()
 		return nil, errCorrupt("inconsistent footer offsets")
 	}
@@ -420,14 +420,14 @@ func (c *Component) findPage(key []byte) int {
 	return i - 1
 }
 
-func (c *Component) readPage(i int) ([]byte, error) {
+func (c *Component) readPage(i int) (*cachedPage, error) {
 	if c.groups != nil {
-		return c.cache.ReadBuilt(c.fileID, uint32(i)*colRegionStride, func() ([]byte, error) {
+		return c.cache.readBuilt(c.fileID, uint32(i)*colRegionStride, "", func() ([]byte, []uint32, error) {
 			return c.buildGroupPage(i, nil)
 		})
 	}
 	p := c.pages[i]
-	return c.cache.ReadRegion(c.fileID, c.f, uint32(i), p.off, int(p.length))
+	return c.cache.readRegion(c.fileID, c.f, uint32(i), p.off, int(p.length))
 }
 
 // readPageView returns page i with an optional field projection. Row
@@ -436,12 +436,19 @@ func (c *Component) readPage(i int) ([]byte, error) {
 // it under the projection's signature, so repeated projected scans hit
 // the buffer cache like full scans do.
 func (c *Component) readPageView(i int, keep map[string]bool, projTag string) ([]byte, error) {
+	var p *cachedPage
+	var err error
 	if keep == nil || c.groups == nil {
-		return c.readPage(i)
+		p, err = c.readPage(i)
+	} else {
+		p, err = c.cache.readBuilt(c.fileID, uint32(i)*colRegionStride, projTag, func() ([]byte, []uint32, error) {
+			return c.buildGroupPage(i, keep)
+		})
 	}
-	return c.cache.ReadBuiltTagged(c.fileID, uint32(i)*colRegionStride, projTag, func() ([]byte, error) {
-		return c.buildGroupPage(i, keep)
-	})
+	if err != nil {
+		return nil, err
+	}
+	return p.data, nil
 }
 
 // Get returns the value stored for key, a boolean for presence, or an
@@ -452,6 +459,14 @@ func (c *Component) Get(key []byte) ([]byte, bool, error) {
 		bloomNegatives.Inc()
 		return nil, false, nil
 	}
+	return c.lookup(key)
+}
+
+// lookup finds key without the bloom filter: the fence keys pick the
+// page, and a binary search over the page's entry-offset table finds
+// the entry, so a point lookup decodes O(log n) entries of a page (a
+// columnar group holds up to colMaxGroupRows) instead of walking it.
+func (c *Component) lookup(key []byte) ([]byte, bool, error) {
 	i := c.findPage(key)
 	if i < 0 {
 		return nil, false, nil
@@ -460,19 +475,67 @@ func (c *Component) Get(key []byte) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	it := pageIter{page: page}
-	if err := it.init(); err != nil {
+	offs, err := page.entryOffsets()
+	if err != nil {
 		return nil, false, err
 	}
-	for it.next() {
+	return searchPage(page.data, offs, key)
+}
+
+// entryOffsets returns the page's entry-offset table, building it on
+// first use by walking the page with every pageIter bounds check; a
+// page the walk rejects is reported corrupt and gets no table.
+// Concurrent first lookups may each build it; the results are equal.
+func (p *cachedPage) entryOffsets() ([]uint32, error) {
+	if offs := p.offs.Load(); offs != nil {
+		return *offs, nil
+	}
+	offs, err := pageOffsets(p.data)
+	if err != nil {
+		return nil, err
+	}
+	p.offs.Store(&offs)
+	return offs, nil
+}
+
+// pageOffsets walks a data page and returns the byte offset of each of
+// its entries.
+func pageOffsets(page []byte) ([]uint32, error) {
+	it := pageIter{page: page}
+	if err := it.init(); err != nil {
+		return nil, err
+	}
+	offs := make([]uint32, 0, it.left)
+	for pos := it.pos; it.next(); pos = it.pos {
+		offs = append(offs, uint32(pos))
+	}
+	if it.err != nil {
+		return nil, it.err
+	}
+	return offs, nil
+}
+
+// searchPage binary-searches a page's entries, whose byte offsets are
+// offs, for key. Each probe decodes one entry through pageIter, so the
+// search keeps the walk's bounds checks.
+func searchPage(page []byte, offs []uint32, key []byte) ([]byte, bool, error) {
+	lo, hi := 0, len(offs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		it := pageIter{page: page, pos: int(offs[mid]), left: 1}
+		if !it.next() {
+			return nil, false, it.err
+		}
 		switch bytes.Compare(it.key, key) {
 		case 0:
 			return it.val, true, nil
-		case 1:
-			return nil, false, nil
+		case -1:
+			lo = mid + 1
+		default:
+			hi = mid
 		}
 	}
-	return nil, false, it.err
+	return nil, false, nil
 }
 
 // pageIter walks the entries of a single data page.

@@ -117,14 +117,37 @@ func FuzzComponentPage(f *testing.F) {
 		if err := it.init(); err != nil {
 			return
 		}
-		steps := 0
+		var keys, vals [][]byte
+		sorted := true
 		for it.next() {
 			if len(it.key)+len(it.val) > len(data) {
 				t.Fatalf("entry larger than page: k=%d v=%d page=%d", len(it.key), len(it.val), len(data))
 			}
-			steps++
-			if steps > len(data)+1 {
-				t.Fatalf("iterator did not terminate after %d steps", steps)
+			if len(keys) > 0 && bytes.Compare(keys[len(keys)-1], it.key) >= 0 {
+				sorted = false
+			}
+			keys, vals = append(keys, it.key), append(vals, it.val)
+			if len(keys) > len(data)+1 {
+				t.Fatalf("iterator did not terminate after %d steps", len(keys))
+			}
+		}
+		// Point lookups: the offset table accepts exactly the pages the
+		// walk accepts, and on a page with increasing keys the binary
+		// search returns every entry the walk yields.
+		offs, err := pageOffsets(data)
+		if (err != nil) != (it.err != nil) {
+			t.Fatalf("offset table error %v, walk error %v", err, it.err)
+		}
+		if err != nil {
+			return
+		}
+		if len(offs) != len(keys) {
+			t.Fatalf("offset table has %d entries, walk yielded %d", len(offs), len(keys))
+		}
+		for i, k := range keys {
+			v, ok, err := searchPage(data, offs, k)
+			if sorted && (err != nil || !ok || !bytes.Equal(v, vals[i])) {
+				t.Fatalf("searchPage(%q) = %q, %v, %v; want %q", k, v, ok, err, vals[i])
 			}
 		}
 	})
@@ -194,6 +217,32 @@ func FuzzColumnarComponent(f *testing.F) {
 		}
 		scan(c.NewIterator(nil, nil))
 		scan(c.NewProjectedIterator(nil, nil, []string{"id"}))
-		_, _, _ = c.Get([]byte("k0003"))
+
+		// Point lookups agree with iteration: Get returns every entry
+		// the iterator yields, with the same bytes. The property holds
+		// where Get's search can rely on the file: keys strictly
+		// increasing, each in the group its fence keys name and passing
+		// the bloom filter. Elsewhere Get must still not panic.
+		type entry struct {
+			key, val []byte
+			page     int
+			bloom    bool
+		}
+		var entries []entry
+		sorted := true
+		it := c.NewIterator(nil, nil)
+		for it.Next() {
+			k := append([]byte(nil), it.Key()...)
+			if n := len(entries); n > 0 && bytes.Compare(entries[n-1].key, k) >= 0 {
+				sorted = false
+			}
+			entries = append(entries, entry{k, append([]byte(nil), it.Value()...), it.pageIdx, c.MayContain(k)})
+		}
+		for _, e := range entries {
+			v, ok, err := c.Get(e.key)
+			if sorted && e.bloom && c.findPage(e.key) == e.page && (err != nil || !ok || !bytes.Equal(v, e.val)) {
+				t.Fatalf("Get(%q) = %x, %v, %v; the iterator yielded %x", e.key, v, ok, err, e.val)
+			}
+		}
 	})
 }

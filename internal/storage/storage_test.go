@@ -247,6 +247,13 @@ func TestOpenComponentCorrupt(t *testing.T) {
 	if _, err := OpenComponent(bad, cache); err == nil {
 		t.Error("truncated file should fail to open")
 	}
+	// A page-index offset with its top bit set reads as negative.
+	neg := append([]byte(nil), data...)
+	neg[len(neg)-footerSize+27] |= 0x80
+	os.WriteFile(bad, neg, 0o644)
+	if _, err := OpenComponent(bad, cache); err == nil {
+		t.Error("negative index offset should fail to open")
+	}
 }
 
 func newTestLSM(t *testing.T, opts LSMOptions) *LSMTree {
